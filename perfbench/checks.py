@@ -150,6 +150,27 @@ def check_design(result: Dict[str, object]) -> List[str]:
     return problems
 
 
+def check_served_design(result, path: str = "$") -> List[str]:
+    """One optimize record's result as ``repro serve`` stores it."""
+    summary = result.get("summary") if isinstance(result, dict) else None
+    if not isinstance(summary, dict):
+        return [f"{path}: expected an optimization summary"]
+    problems = _finite(result, path)
+    optimal = summary.get("optimal_gradient_K")
+    reference = summary.get("reference_gradient_K")
+    design = result.get("optimal_design") or {}
+    if not all(isinstance(v, numbers.Number) for v in (optimal, reference)):
+        return problems + [f"{path}.summary: optimal/reference gradient missing"]
+    if design.get("thermal_gradient_K") != optimal:
+        problems.append(f"{path}: optimal design gradient != summary {optimal!r}")
+    if not optimal <= reference + 1e-9:
+        problems.append(
+            f"{path}: optimal gradient {optimal!r} exceeds the uniform-width "
+            f"reference {reference!r}"
+        )
+    return problems
+
+
 def check_transient(result: Dict[str, object]) -> List[str]:
     """One transient outcome (see ``workloads.transient_result``)."""
     peaks = result.get("peak_history_K")
@@ -181,12 +202,15 @@ def check_oracle(rom_peaks, full_peaks) -> List[str]:
 
 def check_records(op: Dict[str, object], records, goldens) -> List[str]:
     """The NDJSON records of one finished serve job."""
-    expected = len(op["values"]) if op["kind"] == "sweep" else 1
+    expected = len(op["values"]) if op["kind"] == "optimize" else 1
     if not isinstance(records, list) or len(records) != expected:
         return [f"$: expected {expected} record(s), got {records!r:.200}"]
     problems = []
     for index, record in enumerate(records):
         result = record.get("result") if isinstance(record, dict) else None
+        if op["kind"] == "optimize":
+            problems += check_served_design(result, f"$[{index}].result")
+            continue
         scenario = op.get("scenario") or {}
         golden = None
         if not scenario.get("set") and scenario.get("base") in goldens:

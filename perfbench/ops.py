@@ -172,18 +172,19 @@ def _scenario(rng: random.Random) -> Dict[str, object]:
     return _variant("test-b", **{SEED: rng.randrange(1, 10**6)})
 
 
-#: One serve round: S = six-point flux sweep (the service's main product,
-#: and six store appends, cache puts and a per-job process pool each), R =
-#: run job on a new scenario, W = temperature-dependent (``water``) run,
-#: T = small full-order transient, then one of (cycling with the round)
-#: C = forced re-run of an earlier R scenario (result-cache hit), D =
-#: identical resubmission of an earlier R run (queue dedupe), G = forced
-#: re-run of a registered scenario with a golden record, H = healthz.
-#: Sweeps are the largest class, so the median and the tail land among
-#: them: tens of milliseconds of service work, not the millisecond-scale
-#: request handling alone, whose timing a shared host jitters by tens of
-#: percent from run to run.
-SERVE_PATTERN = "SRSWSTS*SS"
+#: One serve round: O = two-point Test A flux sweep of design
+#: optimizations (``/v1/optimize``: two tasks on the per-job process pool,
+#: two store appends and cache puts), R = run job on a new scenario, W =
+#: temperature-dependent (``water``) run, T = small full-order transient,
+#: then one of (cycling with the round) C = forced re-run of an earlier R
+#: scenario (result-cache hit), D = identical resubmission of an earlier R
+#: run (queue dedupe), G = forced re-run of a registered scenario with a
+#: golden record, H = healthz.  Optimize sweeps are the largest class, so
+#: the median and the tail land among them: 100-150 ms of service work.
+#: Shorter jobs (six-point run sweeps, tens of milliseconds) mostly wait
+#: on process wake-ups, which a shared host stretches by 30-60 % for
+#: minutes at a time.
+SERVE_PATTERN = "OROWOTO*OO"
 SERVE_CYCLE = "CDGH"
 
 
@@ -197,11 +198,10 @@ def _serve_round(rng: random.Random, history: List[Dict[str, object]],
             scenario = _scenario(rng)
             history.append(scenario)
             ops.append({"kind": "run", "scenario": scenario})
-        elif slot == "S":
-            flux = _r(rng, 35.0, 45.0)
-            ops.append({"kind": "sweep", "base": "test-a", "field": FLUX,
-                        "values": [round(flux + 4.0 * step, 3)
-                                   for step in range(6)]})
+        elif slot == "O":
+            flux = _r(rng, 40.0, 50.0)
+            ops.append({"kind": "optimize", "base": "test-a", "field": FLUX,
+                        "values": [flux, round(flux + 4.0, 3)]})
         elif slot == "W":
             ops.append({"kind": "run", "scenario": _variant(
                 "test-a", coolant_model="water", **{FLUX: _r(rng, 40.0, 60.0)})})

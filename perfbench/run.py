@@ -258,7 +258,7 @@ def run(args) -> int:
             "latency_p50_s": window["latency_p50_s"],
             "latency_tail_s": window["latency_tail_s"],
             "throughput_ops_s": window["throughput_ops_s"],
-            "max_rate_ops_s": getattr(runner, "max_rate", 0.0) or window["throughput_ops_s"],
+            "max_rate_ops_s": window["throughput_ops_s"],
             "ok_frac": window["ok_frac"],
             "peak_rss_mb": rss,
             **quality,
@@ -272,7 +272,6 @@ def run(args) -> int:
         "tail_percentile": window["tail_percentile"],
         "n_samples": window["n_samples"],
         "problems": tally.problems[:10],
-        "saturation": getattr(runner, "saturation", {}),
         "phases_s": phases,
     }
     metrics = {}

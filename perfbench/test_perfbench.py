@@ -112,6 +112,17 @@ def test_serve_records_with_a_wrong_result_fail(goldens):
     assert checks.check_records(op, [], goldens)
 
 
+def test_served_design_worse_than_its_reference_fails(goldens):
+    op = {"id": 5, "kind": "optimize", "values": [40.0, 44.0]}
+    result = {"summary": {"optimal_gradient_K": 13.1, "reference_gradient_K": 18.6},
+              "optimal_design": {"thermal_gradient_K": 13.1}}
+    assert checks.check_records(op, [{"result": result}] * 2, goldens) == []
+    worse = copy.deepcopy(result)
+    worse["summary"]["optimal_gradient_K"] = worse["optimal_design"]["thermal_gradient_K"] = 19.0
+    assert checks.check_records(op, [{"result": result}, {"result": worse}], goldens)
+    assert checks.check_records(op, [{"result": result}], goldens)
+
+
 def test_failed_execution_counts_as_failed():
     def boom(_op):
         raise RuntimeError("exit 2")

@@ -15,14 +15,11 @@ import http.client
 import json
 import math
 import os
-import random
 import resource
 import shutil
 import signal
-import statistics
 import subprocess
 import sys
-import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -95,35 +92,18 @@ class Tally:
         self.problems: List[str] = []
         self.counters: Dict[str, int] = {key: 0 for key in COUNTERS}
         self.window_s = 0.0
-        #: Sub-windows whose median latencies stand for this window's.
-        self.windows: List["Tally"] = []
-        self.lock = threading.Lock()
 
     def record(self, op, latency: Optional[float], problems: List[str],
                counters: Optional[Dict[str, int]] = None) -> None:
-        with self.lock:
-            self.attempted += 1
-            if problems:
-                self.failed += 1
-                if len(self.problems) < 20:
-                    self.problems.append(f"op {op.get('id')}: {problems[0]}")
-                return
-            self.latencies.append(latency)
-            for key, value in (counters or {}).items():
-                self.counters[key] += value
-
-    def merge(self, other: "Tally") -> None:
-        """Add a sub-window's ops; latencies then come from the median of
-        the sub-windows' figures, so one host stall moves one of them."""
-        self.latencies += other.latencies
-        self.lags += other.lags
-        self.attempted += other.attempted
-        self.failed += other.failed
-        self.problems += other.problems[:5]
-        for key, value in other.counters.items():
+        self.attempted += 1
+        if problems:
+            self.failed += 1
+            if len(self.problems) < 20:
+                self.problems.append(f"op {op.get('id')}: {problems[0]}")
+            return
+        self.latencies.append(latency)
+        for key, value in (counters or {}).items():
             self.counters[key] += value
-        self.window_s += other.window_s
-        self.windows.append(other)
 
     def metrics(self) -> Dict[str, float]:
         n = len(self.latencies)
@@ -131,11 +111,6 @@ class Tally:
         throughput = n / self.window_s if self.window_s > 0 else 0.0
         p50 = percentile(self.latencies, 50)
         tail_s = percentile(self.latencies, tail)
-        if self.windows:
-            figures = [window.metrics() for window in self.windows]
-            p50 = statistics.median(f["latency_p50_s"] for f in figures)
-            tail_s = statistics.median(f["latency_tail_s"] for f in figures)
-            tail = statistics.median(f["tail_percentile"] for f in figures)
         return {
             "latency_p50_s": p50,
             "latency_tail_s": tail_s,
@@ -147,14 +122,19 @@ class Tally:
 
 
 def run_op(tally: Tally, op, execute: Callable, check: Callable) -> None:
-    """Execute one op (timed), then check it (untimed); record the outcome."""
+    """Execute one op (timed), then check it (untimed); record the outcome.
+
+    ``execute`` returns ``(result, counters)``, or ``(result, counters,
+    latency)`` when the op ends before the call returns (a serve job ends
+    at its server-side ``finished_at``, not at the poll that saw it).
+    """
     start = time.perf_counter()
     try:
-        result, counters = execute(op)
+        result, counters, *reported = execute(op)
     except Exception as error:  # a failed op is a result, not a crash
         tally.record(op, None, [f"{type(error).__name__}: {error}"])
         return
-    latency = time.perf_counter() - start
+    latency = reported[0] if reported else time.perf_counter() - start
     try:
         problems = check(op, result)
     except Exception as error:  # a check that cannot read the output fails it
@@ -499,17 +479,10 @@ class TransientTrace:
 
 # -- serve-campaign -----------------------------------------------------------------
 
-#: Open-loop arrival rate of the measured phase (ops/s): about half the
-#: sustained capacity of the default server on a 2-core host.
-SERVE_RATE = 8.0
-#: The saturating phase: arrivals well above what a 2-core host sustains,
-#: for this long; the completion rate it achieves is ``max_rate_ops_s``.
-SERVE_SATURATION_RATE = 80.0
-SERVE_SATURATION_S = 3.0
-#: Seconds from a submission (or an unfinished poll) to the next poll of
-#: that job: most jobs are done by the first poll, so reads stay few.
-SERVE_POLL_S = 0.05
-#: An op that has not finished this long after it was due has failed.
+#: Seconds between polls of a running job.  The op's latency ends at the
+#: server-side ``finished_at``, so the poll interval only spaces the ops.
+SERVE_POLL_S = 0.02
+#: A job unfinished this long after it was submitted has failed.
 SERVE_TIMEOUT_S = 10.0
 SERVE_ARGS = ("--workers", "2", "--pool-size", "1")
 
@@ -534,13 +507,13 @@ class Http:
 
 def serve_campaign_payload(op) -> Tuple[str, Dict[str, object]]:
     """The endpoint and JSON body of one serve op."""
-    if op["kind"] == "sweep":
+    if op["kind"] == "optimize":
         sweep = {
-            "name": f"sweep-op{op['id']}",
+            "name": f"optimize-op{op['id']}",
             "base": op["base"],
             "axes": [{"field": op["field"], "values": op["values"]}],
         }
-        return "/v1/sweep", {"sweep": sweep}
+        return "/v1/optimize", {"sweep": sweep}
     scenario = op["scenario"]
     if scenario["set"]:
         # A one-point sweep mapping resolves to exactly one scenario: the
@@ -615,7 +588,7 @@ class Server:
                 size = os.path.getsize(os.path.join(directory, entry))
                 if os.sep + "jobs" in directory[len(self.data_dir):]:
                     stores += size
-                elif entry.startswith("journal"):
+                elif entry == "queue.jsonl":
                     journal += size
         return {"journal": journal, "stores": stores}
 
@@ -640,7 +613,13 @@ class Server:
 
 
 class ServeCampaign:
-    """Open-loop Poisson arrivals against one ``repro serve`` child."""
+    """One client against one ``repro serve`` child, one job at a time.
+
+    The loop is closed: the next op is sent once the previous job's
+    records are read back.  An open loop at a few ops/s left both cores
+    idle between jobs, and on a shared VM its latencies followed how fast
+    the host woke idle virtual CPUs (see README.md).
+    """
 
     name = "serve-campaign"
 
@@ -648,11 +627,9 @@ class ServeCampaign:
         self.seed = seed
         self.goldens = checks.load_goldens(ROOT)
         self.stream = opgen.op_stream(self.name, seed)
-        self.arrivals = random.Random(f"arrivals:{seed}")
         self.server: Optional[Server] = None
-        self.server_stats: Dict[str, float] = {}
-        self.max_rate = 0.0
-        self.saturation: Dict[str, float] = {}
+        self.server_stats: Dict[str, object] = {
+            "submits": 0, "dedup": 0, "rejected": 0, "queue_waits": []}
 
     @staticmethod
     def setup_probe() -> Tuple[float, str]:
@@ -662,152 +639,56 @@ class ServeCampaign:
         finally:
             server.stop(graceful=False)
 
-    def _schedule(self, rate: float, seconds: float) -> List[float]:
-        """Poisson arrival offsets: exactly ``rate * seconds`` ops."""
-        n = max(1, round(rate * seconds))
-        gaps = [self.arrivals.expovariate(rate) for _ in range(n)]
-        scale = seconds / sum(gaps)
-        offsets, clock = [], 0.0
-        for gap in gaps:
-            offsets.append(clock)
-            clock += gap * scale
-        return offsets
-
-    def _phase(self, rate: float, seconds: float) -> Tuple[Tally, int]:
-        """Send one phase's ops on schedule; poll them to completion."""
-        tally = Tally()
+    def execute(self, op):
+        """Submit one op, poll it to the end, read its records back."""
         client = self.server.http
-        pending: List[Dict[str, object]] = []
-        pending_lock = threading.Lock()
-        sending = threading.Event()
-        sending.set()
-        counts = {"submits": 0, "dedup": 0, "rejected": 0, "backlog": 0}
-        queue_waits: List[float] = []
-        done: List[float] = []
+        due = time.time()
+        if op["kind"] == "healthz":
+            status, body = client.request("GET", "/v1/healthz")
+            return (status, json.loads(body)), {}
+        path, payload = serve_campaign_payload(op)
+        status, body = client.request("POST", path, payload)
+        stats = self.server_stats
+        stats["submits"] += 1
+        if status == 429:
+            stats["rejected"] += 1
+        if status != 202:
+            raise RuntimeError(f"HTTP {status}: {body[:200]!r}")
+        job = json.loads(body)
+        stats["dedup"] += bool(job.get("resubmitted"))
+        while True:
+            time.sleep(SERVE_POLL_S)
+            status, body = client.request("GET", f"/v1/jobs/{job['job_id']}")
+            detail = json.loads(body) if status == 200 else {}
+            if status != 200 or detail.get("state") in ("done", "failed"):
+                break
+            if time.time() - due > SERVE_TIMEOUT_S:
+                raise RuntimeError("timed out")
+        fetch_start = time.perf_counter()
+        status, body = client.request("GET", f"/v1/jobs/{job['job_id']}/records")
+        fetch_s = time.perf_counter() - fetch_start
+        if status != 200 or detail.get("state") != "done":
+            raise RuntimeError(f"job {detail.get('state')}: HTTP {status}")
+        if not job.get("resubmitted") and detail.get("started_at"):
+            stats["queue_waits"].append(detail["started_at"] - detail["submitted_at"])
+        records = [json.loads(line) for line in body.decode().splitlines() if line]
+        counters: Dict[str, int] = {}
+        for record in records:
+            for key, value in counters_of(record.get("counters")).items():
+                counters[key] = counters.get(key, 0) + value
+        latency = max(float(detail["finished_at"]), due) - due + fetch_s
+        return records, counters, latency
 
-        def finish(entry, detail) -> None:
-            op = entry["op"]
-            fetch_start = time.perf_counter()
-            status, body = client.request("GET", f"/v1/jobs/{entry['job']}/records")
-            fetch_s = time.perf_counter() - fetch_start
-            if status != 200 or detail.get("state") != "done":
-                tally.record(op, None, [f"job {detail.get('state')}: HTTP {status}"])
-                return
-            records = [json.loads(line) for line in body.decode().splitlines() if line]
-            done_at = max(float(detail["finished_at"]), entry["ack"])
-            latency = done_at - entry["due"] + fetch_s
-            if not entry["resubmitted"] and detail.get("started_at"):
-                queue_waits.append(detail["started_at"] - detail["submitted_at"])
-            counters: Dict[str, int] = {}
-            for record in records:
-                for key, value in counters_of(record.get("counters")).items():
-                    counters[key] = counters.get(key, 0) + value
-            tally.record(op, latency,
-                         checks.check_records(op, records, self.goldens), counters)
-            done.append(time.time())
-
-        def poller() -> None:
-            # Latency comes from the server's ``finished_at``, so the poll
-            # cadence never enters it; polls are paced so that they do not
-            # load the server more than the ops themselves.
-            while True:
-                with pending_lock:
-                    if not pending and not sending.is_set():
-                        return
-                    entry = min(pending, key=lambda item: item["poll_at"], default=None)
-                wait = 0.005 if entry is None else entry["poll_at"] - time.time()
-                if wait > 0:
-                    time.sleep(min(wait, 0.005))
-                    continue
-                try:
-                    status, body = client.request("GET", f"/v1/jobs/{entry['job']}")
-                    detail = json.loads(body) if status == 200 else {}
-                    if detail.get("state") in ("done", "failed") or status != 200:
-                        with pending_lock:
-                            pending.remove(entry)
-                        finish(entry, detail)
-                        continue
-                except OSError as error:
-                    with pending_lock:
-                        if entry in pending:
-                            pending.remove(entry)
-                    tally.record(entry["op"], None, [f"{type(error).__name__}: {error}"])
-                    continue
-                if time.time() - entry["due"] > SERVE_TIMEOUT_S:
-                    with pending_lock:
-                        pending.remove(entry)
-                    tally.record(entry["op"], None, ["timed out"])
-                else:
-                    entry["poll_at"] = time.time() + SERVE_POLL_S
-
-        thread = threading.Thread(target=poller, daemon=True)
-        thread.start()
-        offsets = self._schedule(rate, seconds)
-        start_perf, start_wall = time.perf_counter(), time.time()
-        for offset in offsets:
-            op = next(self.stream)
-            delay = start_perf + offset - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            due = start_wall + offset
-            tally.lags.append(max(0.0, time.time() - due))
-            try:
-                if op["kind"] == "healthz":
-                    status, body = client.request("GET", "/v1/healthz")
-                    ok = status == 200 and json.loads(body).get("status") == "ok"
-                    tally.record(op, time.time() - due, [] if ok else [f"HTTP {status}"])
-                    done.append(time.time())
-                    continue
-                path, payload = serve_campaign_payload(op)
-                status, body = client.request("POST", path, payload)
-            except OSError as error:
-                tally.record(op, None, [f"{type(error).__name__}: {error}"])
-                continue
-            ack = time.time()
-            counts["submits"] += 1
-            if status == 429:
-                counts["rejected"] += 1
-            if status != 202:
-                tally.record(op, None, [f"HTTP {status}: {body[:200]!r}"])
-                continue
-            job = json.loads(body)
-            counts["dedup"] += bool(job.get("resubmitted"))
-            with pending_lock:
-                pending.append({"op": op, "job": job["job_id"], "due": due, "ack": ack,
-                                "poll_at": ack + SERVE_POLL_S,
-                                "resubmitted": bool(job.get("resubmitted"))})
-        with pending_lock:
-            counts["backlog"] = len(pending)
-        sending.clear()
-        thread.join(timeout=SERVE_TIMEOUT_S + 5)
-        with pending_lock:
-            for entry in pending:
-                tally.record(entry["op"], None, ["never finished"])
-            pending.clear()
-        # Achieved throughput: completed ops over first due to last done.
-        tally.window_s = (max(done) - start_wall) if done else seconds
-        self.server_stats["queue_waits"] = self.server_stats.get("queue_waits", []) + queue_waits
-        for key, value in counts.items():
-            self.server_stats[key] = self.server_stats.get(key, 0) + value
-        return tally, counts["backlog"]
+    def check(self, op, result):
+        if op["kind"] == "healthz":
+            status, payload = result
+            return [] if status == 200 and payload.get("status") == "ok" else [f"HTTP {status}"]
+        return checks.check_records(op, result, self.goldens)
 
     def run(self, seconds: float, trace_dir: Optional[str] = None) -> Tally:
         self.server = Server(trace_dir)
         try:
-            # 60 % of the window at the fixed rate, in three sub-windows
-            # whose median latencies are reported; then the saturating
-            # phase, drained to its last op.
-            tally = Tally()
-            for _ in range(3):
-                tally.merge(self._phase(SERVE_RATE, 0.2 * seconds)[0])
-            saturated, backlog = self._phase(SERVE_SATURATION_RATE, SERVE_SATURATION_S)
-            self.max_rate = saturated.metrics()["throughput_ops_s"]
-            self.saturation = {"backlog_at_stop": backlog,
-                               "completed": len(saturated.latencies),
-                               "window_s": saturated.window_s}
-            tally.attempted += saturated.attempted
-            tally.failed += saturated.failed
-            tally.problems += saturated.problems[:5]
+            tally = closed_loop(self.stream, seconds, self.execute, self.check)
             status, body = self.server.http.request("GET", "/v1/healthz")
             self.server_stats["healthz"] = json.loads(body) if status == 200 else {}
             self.server_stats.update(self.server.sizes())
