@@ -319,71 +319,60 @@ def test_optimizer_gradient_batching(benchmark):
 
 
 def test_optimizer_wall_time_batched_vs_scalar(benchmark):
-    """Full SLSQP runs: batched gradients + jacobians vs the legacy path."""
+    """Full SLSQP run with the batched cost gradient and constraint Jacobians.
+
+    SLSQP always receives explicit Jacobians, so this is the one optimizer
+    path; the record keeps its ``"batched gradients"`` label.
+    """
     iterations = 4 if SMOKE else 12
-    rows = []
-    results = {}
-    for label, batched, n_workers in (
-        ("scalar finite differences", False, 1),
-        ("batched gradients", True, 1),
-    ):
-        params = DEFAULT_EXPERIMENT.params
-        geometry = ChannelGeometry.from_parameters(params)
-        heat = [
-            HeatInputProfile.from_areal_flux(
-                50.0 + 20.0 * (lane % 4), geometry.pitch, geometry.length
-            )
-            for lane in range(GRADIENT_LANES)
-        ]
-        cavity = build_cavity(
-            geometry,
-            heat,
-            heat,
-            flow_rate=params.flow_rate_per_channel,
-            inlet_temperature=params.inlet_temperature,
+    params = DEFAULT_EXPERIMENT.params
+    geometry = ChannelGeometry.from_parameters(params)
+    heat = [
+        HeatInputProfile.from_areal_flux(
+            50.0 + 20.0 * (lane % 4), geometry.pitch, geometry.length
         )
-        settings = OptimizerSettings(
-            n_segments=GRADIENT_SEGMENTS,
-            n_grid_points=GRADIENT_POINTS,
-            max_iterations=iterations,
-            use_batched_gradients=batched,
-            n_workers=n_workers,
-        )
-        optimizer = ChannelModulationOptimizer(cavity, settings)
-        start = time.perf_counter()
-        result = optimizer.optimize()
-        seconds = time.perf_counter() - start
-        results[label] = result
-        stats = optimizer.engine.stats()
-        rows.append(
-            {
-                "path": label,
-                "time_s": seconds,
-                "n_solves": stats["n_solves"],
-                "gradient_K": result.optimal.thermal_gradient,
-            }
-        )
-        emit_bench(
-            {
-                "benchmark": "optimizer_wall_time",
-                "path": label,
-                "use_batched_gradients": batched,
-                "n_workers": n_workers,
-                "n_variables": optimizer.parameterization.n_variables,
-                "n_lanes": GRADIENT_LANES,
-                "n_points": GRADIENT_POINTS,
-                "max_iterations": iterations,
-                "time_s": seconds,
-                "n_solves": stats["n_solves"],
-                "optimal_gradient_K": result.optimal.thermal_gradient,
-                "smoke": SMOKE,
-            }
-        )
-    benchmark(lambda: None)  # timings above; keep the fixture satisfied
-    print()
-    print(f"full SLSQP runs ({iterations} iterations max):")
-    print(format_table(rows))
-    gradients = [row["gradient_K"] for row in rows]
-    assert gradients[1] == gradients[0] or (
-        abs(gradients[1] - gradients[0]) / max(gradients) < 0.25
+        for lane in range(GRADIENT_LANES)
+    ]
+    cavity = build_cavity(
+        geometry,
+        heat,
+        heat,
+        flow_rate=params.flow_rate_per_channel,
+        inlet_temperature=params.inlet_temperature,
     )
+    settings = OptimizerSettings(
+        n_segments=GRADIENT_SEGMENTS,
+        n_grid_points=GRADIENT_POINTS,
+        max_iterations=iterations,
+    )
+    optimizer = ChannelModulationOptimizer(cavity, settings)
+    start = time.perf_counter()
+    result = optimizer.optimize()
+    seconds = time.perf_counter() - start
+    stats = optimizer.engine.stats()
+    row = {
+        "path": "batched gradients",
+        "time_s": seconds,
+        "n_solves": stats["n_solves"],
+        "gradient_K": result.optimal.thermal_gradient,
+    }
+    emit_bench(
+        {
+            "benchmark": "optimizer_wall_time",
+            "path": row["path"],
+            "n_workers": settings.n_workers,
+            "n_variables": optimizer.parameterization.n_variables,
+            "n_lanes": GRADIENT_LANES,
+            "n_points": GRADIENT_POINTS,
+            "max_iterations": iterations,
+            "time_s": seconds,
+            "n_solves": stats["n_solves"],
+            "optimal_gradient_K": result.optimal.thermal_gradient,
+            "smoke": SMOKE,
+        }
+    )
+    benchmark(lambda: None)  # timing above; keep the fixture satisfied
+    print()
+    print(f"full SLSQP run ({iterations} iterations max):")
+    print(format_table([row]))
+    assert np.isfinite(result.optimal.thermal_gradient)

@@ -1,9 +1,9 @@
-"""Transient engine throughput: batched multi-RHS stepping vs the reference.
+"""Transient engine throughput: one batch vs the same scenarios one by one.
 
 Times a batch of trace-driven transient scenarios that share one stack
 (so one factorization serves every step of every scenario) against the
-step-by-step reference path, asserts bit-identical trajectories, and
-emits the ``transient_throughput`` ``BENCH {json}`` record:
+same scenarios run as batches of one, asserts bit-identical trajectories,
+and emits the ``transient_throughput`` ``BENCH {json}`` record:
 
 .. code-block:: console
 

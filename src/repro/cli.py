@@ -738,6 +738,8 @@ def cmd_cache_gc(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve`` -- run the campaign service HTTP front door."""
+    import signal
+
     from .serve import CampaignServer, CampaignService
 
     service = CampaignService(
@@ -748,14 +750,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
     )
     server = CampaignServer(service, host=args.host, port=args.port)
-    server.start_in_thread()
-    print(
-        f"repro serve listening on {server.url} "
-        f"(data dir {service.data_dir}, executor {service.executor} "
-        f"x{service.workers}, {args.pool_size} job worker(s))",
-        file=sys.stderr,
-    )
+    # SIGTERM shuts down exactly like Ctrl-C.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        server.start_in_thread()
+        print(
+            f"repro serve listening on {server.url} "
+            f"(data dir {service.data_dir}, executor {service.executor} "
+            f"x{service.workers}, {args.pool_size} job worker(s))",
+            file=sys.stderr,
+        )
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

@@ -90,12 +90,6 @@ class OptimizerSettings:
         solves per iterate).  Objectives without an adjoint
         (``temperature_range``, ``peak_temperature``) fall back to
         ``"fd-batched"`` with a warning.
-    use_batched_gradients:
-        Evaluate the cost gradient as one batched ``solve_many`` call (all
-        ``n + 1`` perturbed designs at once, parallel across ``n_workers``)
-        and hand SLSQP explicit cost/constraint Jacobians.  False restores
-        SLSQP's internal sequential finite differences (kept as the
-        benchmark baseline).
     multistart:
         Number of starting points.  The first start is always the uniform
         mid-width design; additional starts interpolate between the uniform
@@ -124,7 +118,6 @@ class OptimizerSettings:
     tolerance: float = 1e-8
     finite_difference_step: float = 1e-3
     gradient_mode: str = "adjoint"
-    use_batched_gradients: bool = True
     multistart: int = 1
     enforce_equal_pressure: bool = True
     equal_pressure_tolerance: float = 0.05
@@ -458,23 +451,17 @@ class ChannelModulationOptimizer:
             if callback is not None:
                 callback(vector)
 
-        jacobian = (
-            self._scaled_cost_gradient
-            if self.settings.use_batched_gradients
-            else None
-        )
         result = optimize.minimize(
             self._scaled_cost,
             start,
             method="SLSQP",
-            jac=jacobian,
+            jac=self._scaled_cost_gradient,
             bounds=bounds,
             constraints=constraints,
             callback=record,
             options={
                 "maxiter": self.settings.max_iterations,
                 "ftol": self.settings.tolerance,
-                "eps": self.settings.finite_difference_step,
             },
         )
         trace.converged = bool(result.success)
@@ -532,9 +519,7 @@ class ChannelModulationOptimizer:
             else self._starting_points()
         )
 
-        constraints = self.pressure.as_scipy_constraints(
-            with_jacobians=self.settings.use_batched_gradients
-        )
+        constraints = self.pressure.as_scipy_constraints()
         bounds = [(0.0, 1.0)] * self.parameterization.n_variables
         if len(starts) > 1 and self.settings.n_workers > 1:
             # Warm the solution cache for every starting point in one batch,

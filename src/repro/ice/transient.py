@@ -26,7 +26,7 @@ triangular solves).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -173,33 +173,51 @@ class TransientSolver:
 
     def integrate(
         self,
-        state: np.ndarray,
+        states: np.ndarray,
         *,
         step_offset: int,
         n_steps: int,
         time_step: float,
         on_step: Callable[[int, float, np.ndarray], None],
+        sources: Optional[Sequence["TransientSolver"]] = None,
     ) -> np.ndarray:
-        """Advance a full state vector ``n_steps`` backward-Euler steps.
+        """Advance an ``(n, k)`` state block ``n_steps`` backward-Euler steps.
+
+        Column ``j`` is one trajectory forced by ``sources[j].rhs_at`` --
+        the solvers of k scenarios whose implicit systems equal this one
+        bit for bit (traces and static heat maps may differ).  The default
+        is this solver alone (k = 1).  Every step is one
+        :meth:`~repro.thermal.backends.SolverBackend.solve_matrix` call
+        over one shared factorization; each column equals the single-RHS
+        solve bit for bit, so a batch of k steps each member exactly as a
+        batch of one would.
 
         The absolute time of each step is ``(step_offset + step) *
         time_step`` -- computed exactly as one unchunked run would, so an
         integration split into chunks (the transient engine's
         policy-in-the-loop path) evaluates power schedules at bit-identical
-        times.  ``on_step(step, time, state)`` is invoked after every step
+        times.  ``on_step(step, time, states)`` is invoked after every step
         with the 1-based step number *relative to this call*, the absolute
-        time and the new state vector (not a copy -- callbacks that keep it
-        must copy).  Returns the final state.  :meth:`run` is a convenience
-        wrapper over this primitive.
+        time and the new state block (not a copy -- callbacks that keep it
+        must copy).  Returns the final state block.  :meth:`run` is a
+        convenience wrapper over this primitive.
         """
         implicit, c_over_dt, implicit_token = self.implicit_system(time_step)
-        temperature = state
+        sources = (self,) if sources is None else tuple(sources)
+        backend = self.backend
+        # A duck-typed backend implementing only ``solve`` runs the base
+        # class's per-column loop over it.
+        solve_matrix = getattr(
+            type(backend), "solve_matrix", SolverBackend.solve_matrix
+        )
         for step in range(1, int(n_steps) + 1):
             time = (step_offset + step) * time_step
-            rhs = self.rhs_at(time) + c_over_dt @ temperature
-            temperature = self.backend.solve(implicit, rhs, implicit_token)
-            on_step(step, time, temperature)
-        return temperature
+            rhs = np.column_stack(
+                [source.rhs_at(time) for source in sources]
+            ) + c_over_dt @ states
+            states = solve_matrix(backend, implicit, rhs, implicit_token)
+            on_step(step, time, states)
+        return states
 
     def run(
         self,
@@ -235,14 +253,14 @@ class TransientSolver:
             else float(initial_temperature)
         )
 
-        temperature = np.full(self.system.n_unknowns, start_temperature)
+        temperature = np.full((self.system.n_unknowns, 1), start_temperature)
         times = [0.0]
-        snapshots = [temperature.copy()]
+        snapshots = [temperature[:, 0].copy()]
 
-        def keep(step: int, time: float, state: np.ndarray) -> None:
+        def keep(step: int, time: float, states: np.ndarray) -> None:
             if step % store_every == 0 or step == n_steps:
                 times.append(time)
-                snapshots.append(state.copy())
+                snapshots.append(states[:, 0].copy())
 
         self.integrate(
             temperature,

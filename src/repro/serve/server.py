@@ -29,8 +29,9 @@ Submission endpoints respond ``202 Accepted`` with the job dict (plus
 job when the predictive std exceeds ``exact_if_std_above``.
 Validation errors are 400s with ``{"error": ...}``; unknown jobs/routes
 are 404s.  The server runs the asyncio loop on a dedicated thread
-(:meth:`CampaignServer.start_in_thread`) or blocks the caller
-(:meth:`CampaignServer.run`, used by ``repro serve``).
+(:meth:`CampaignServer.start_in_thread`); ``repro serve`` waits on the
+main thread until Ctrl-C or SIGTERM and then calls
+:meth:`CampaignServer.stop`.
 """
 
 from __future__ import annotations
@@ -85,25 +86,14 @@ class CampaignServer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def _serve(self, started: Optional[threading.Event] = None) -> None:
+    async def _serve(self) -> None:
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if started is not None:
-            started.set()
+        self._ready.set()
         async with self._server:
             await self._server.serve_forever()
-
-    def run(self) -> None:
-        """Run the server on the calling thread until cancelled (Ctrl-C)."""
-        self.service.start()
-        try:
-            asyncio.run(self._serve())
-        except (KeyboardInterrupt, asyncio.CancelledError):
-            pass
-        finally:
-            self.service.stop()
 
     def start_in_thread(self) -> "CampaignServer":
         """Start service + server on a background thread; returns when up."""
@@ -113,7 +103,7 @@ class CampaignServer:
             self._loop = asyncio.new_event_loop()
             asyncio.set_event_loop(self._loop)
             try:
-                self._loop.run_until_complete(self._serve(self._ready))
+                self._loop.run_until_complete(self._serve())
             except asyncio.CancelledError:
                 pass
             finally:

@@ -9,28 +9,23 @@ schedule the runtime policy produced, and the transient metrics campaigns
 record (peak transient temperature, time above threshold, thermal-cycling
 amplitude, pumping energy).
 
-Two solve paths share one stepping core
-(:meth:`repro.ice.transient.TransientSolver.integrate`):
+One stepping loop serves every run
+(:meth:`repro.ice.transient.TransientSolver.integrate`).
+:func:`simulate_transient_many` groups scenarios whose implicit systems
+are content-identical (same stack geometry, widths, flow and time step --
+they may differ arbitrarily in traces and static heat maps) into batches
+and advances each batch with one multi-RHS
+:meth:`~repro.thermal.backends.SolverBackend.solve_matrix` call per time
+step over one shared factorization.  :func:`simulate_transient` is a
+batch of one, so serial and batched trajectories agree by construction.
 
-:func:`simulate_transient`
-    The reference path: one scenario, stepped chunk by chunk.  At every
-    control interval the flow policy observes the peak temperature and may
-    change the flow scale; a scale change rebuilds the stack at the scaled
-    flow (the assembly's cached sparsity pattern makes this cheap) and the
-    solver backend's keyed factorization cache makes revisited scales --
-    e.g. the two levels of a bang-bang controller -- pay only triangular
-    solves.
-
-:func:`simulate_transient_many`
-    The vectorized path: scenarios whose implicit systems are
-    content-identical (same stack geometry, widths, flow and time step --
-    they may differ arbitrarily in traces and static heat maps) are
-    *grouped* and stepped together, one multi-RHS
-    :meth:`~repro.thermal.backends.SolverBackend.solve_matrix` call per
-    time step over one shared factorization.  Every trajectory is
-    bit-identical to what :func:`simulate_transient` produces for the same
-    scenario (the backend tests and the transient test suite assert exact
-    equality), so batching is purely a throughput optimization.
+Scenarios whose flow can change mid-run, and reduced-order (ROM)
+trajectories, step alone.  At every control interval the flow policy
+observes the peak temperature and may change the flow scale; a scale
+change rebuilds the stack at the scaled flow (the assembly's cached
+sparsity pattern makes this cheap) and the solver backend's keyed
+factorization cache makes revisited scales -- e.g. the two levels of a
+bang-bang controller -- pay only triangular solves.
 
 Long traces do not blow memory: full-field snapshots are kept every
 ``store_every`` steps only, while the scalar observables driving metrics
@@ -43,7 +38,7 @@ import hashlib
 import json
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,14 +48,12 @@ from .analysis.metrics import (
     time_above_threshold,
 )
 from .core.rom import ReducedTransientModel, build_reduced_model, reduced_model_for
-from .hydraulics.network import FlowNetwork
 from .ice.results import TransientResult
 from .ice.transient import TransientSolver, result_from_snapshots
 from .policies import FlowPolicy, policy_from_spec
 from .scenarios import ScenarioSpec, resolve_scenario
 from .thermal.backends import SolverBackend, resolve_backend
 from .thermal.correlations import LAMINAR_REYNOLDS_LIMIT, reynolds_number
-from .thermal.geometry import ChannelGeometry, WidthProfile
 
 __all__ = [
     "TransientOutcome",
@@ -183,8 +176,18 @@ class _Context:
         return float(self.stack.ambient_temperature)
 
 
+class _Member(NamedTuple):
+    """One scenario of a batch, with its initial flow-scale context."""
+
+    index: int
+    spec: ScenarioSpec
+    policy: FlowPolicy
+    ctx: _Context
+    build_s: float
+
+
 class _Recorder:
-    """Per-scenario history bookkeeping shared by both solve paths."""
+    """Per-scenario history bookkeeping (full and reduced stepping)."""
 
     def __init__(self, ctx: _Context, n_steps: int, store_every: int) -> None:
         self.ctx = ctx
@@ -232,21 +235,7 @@ def _hydraulics_at(
     modeled lanes is scaled up to every physical channel of every cavity
     (the lanes are the cavity's symmetric manifold clusters).
     """
-    params = spec.experiment_config().params.with_overrides(
-        channel_length=spec.channel_length()
-    )
-    geometry = ChannelGeometry.from_parameters(params)
-    profiles = spec.width_profiles()
-    if profiles is None:
-        profiles = [
-            WidthProfile.uniform(geometry.max_width, geometry.length)
-        ] * spec.n_lanes
-    network = FlowNetwork(
-        geometry,
-        profiles,
-        flow_rate_per_channel=params.flow_rate_per_channel * scale,
-        coolant=params.coolant,
-    )
+    network = spec.flow_network(scale)
     per_lane = network.total_pumping_power / network.n_channels
     n_cavities = len(ctx.stack.cavity_layer_names())
     n_physical = ctx.stack.channels_per_cavity() * max(n_cavities, 1)
@@ -263,19 +252,16 @@ def _max_reynolds(spec: ScenarioSpec, flow_scales: np.ndarray) -> float:
     ``w + h`` maximizes ``Re = 2 rho V_dot / (mu (w + h))``) and at the
     largest applied flow scale.
     """
-    params = spec.experiment_config().params.with_overrides(
-        channel_length=spec.channel_length()
+    network = spec.flow_network(float(np.max(flow_scales)))
+    min_width = min(
+        min(profile.segment_widths) for profile in network.width_profiles
     )
-    geometry = ChannelGeometry.from_parameters(params)
-    profiles = spec.width_profiles()
-    if profiles is None:
-        min_width = geometry.max_width
-    else:
-        min_width = min(min(p.segment_widths) for p in profiles)
-    peak_flow = params.flow_rate_per_channel * float(np.max(flow_scales))
     return float(
         reynolds_number(
-            peak_flow, min_width, params.channel_height, params.coolant
+            network.flow_rate_per_channel,
+            min_width,
+            network.geometry.channel_height,
+            network.coolant,
         )
     )
 
@@ -285,12 +271,16 @@ def _finalize(
     recorder: _Recorder,
     backend: SolverBackend,
     *,
-    batched: bool,
     group_size: int,
     wall_time_s: float,
-    rom_stats: Optional[Dict[str, object]] = None,
+    rom_stats: Dict[str, object],
 ) -> TransientOutcome:
-    """Assemble histories, metrics and provenance into the outcome."""
+    """Assemble histories, metrics and provenance into the outcome.
+
+    ``wall_time_s`` is the whole batch's; each member reports its
+    amortized share, so summing member times (what campaign summaries
+    do) reports the real cost, not ``group_size`` times it.
+    """
     transient = spec.transient
     ctx = recorder.ctx
     system = ctx.solver.system
@@ -356,7 +346,7 @@ def _finalize(
     metadata: Dict[str, object] = {
         "backend": backend.name,
         "policy": transient.policy.kind,
-        "batched": batched,
+        "batched": group_size > 1,
         "group_size": group_size,
         "n_steps": transient.n_steps,
         "time_step_s": transient.time_step_s,
@@ -364,9 +354,11 @@ def _finalize(
         "simulated_duration_s": end_time,
         "store_every": transient.store_every,
         "n_unknowns": system.n_unknowns,
-        "wall_time_s": wall_time_s,
+        "wall_time_s": wall_time_s / group_size,
     }
-    if rom_stats is not None and (
+    if group_size > 1:
+        metadata["group_wall_time_s"] = wall_time_s
+    if (
         rom_stats.get("rom")
         or rom_stats.get("n_rom_builds")
         or rom_stats.get("n_rom_steps")
@@ -410,7 +402,7 @@ def simulate_transient(
     scenario,
     backend: Union[None, str, SolverBackend] = None,
 ) -> TransientOutcome:
-    """Run one transient scenario step by step (the reference path).
+    """Run one transient scenario: a batch of one.
 
     ``backend`` overrides the spec's solver backend (a registry name from
     :mod:`repro.thermal.backends`, a backend instance, or None for the
@@ -419,24 +411,81 @@ def simulate_transient(
     :meth:`~repro.ice.transient.TransientSolver.integrate` call, so the
     engine and the plain transient solver agree bit for bit.
     """
-    spec = resolve_scenario(scenario)
-    _require_transient(spec)
-    backend = resolve_backend(
-        backend if backend is not None else spec.solver.backend
-    )
-    start_wall = _time.perf_counter()
-    transient = spec.transient
-    policy = policy_from_spec(transient.policy)
-    recorder, rom_stats = _integrate_controlled(spec, policy, backend)
-    wall_time = _time.perf_counter() - start_wall
-    return _finalize(
-        spec,
-        recorder,
-        backend,
-        batched=False,
-        group_size=1,
-        wall_time_s=wall_time,
-        rom_stats=rom_stats,
+    return simulate_transient_many([scenario], backend)[0]
+
+
+def simulate_transient_many(
+    scenarios: Sequence,
+    backend: Union[None, str, SolverBackend] = None,
+) -> List[TransientOutcome]:
+    """Run many transient scenarios, batching compatible ones per step.
+
+    Scenarios with an inactive (constant-flow) policy whose implicit
+    systems are content-identical advance together: one
+    :meth:`~repro.thermal.backends.SolverBackend.solve_matrix` call per
+    time step back-substitutes every member through one shared
+    factorization.  Scenarios with reactive policies -- whose flow (and
+    hence matrix) can diverge mid-run -- and reduced-order trajectories
+    run as batches of one.  A batch of any size steps through the same
+    loop, so results (returned in input order) do not depend on what
+    else was batched with them.
+    """
+    specs = [resolve_scenario(scenario) for scenario in scenarios]
+    for spec in specs:
+        _require_transient(spec)
+    batches: Dict[tuple, List[_Member]] = {}
+    for index, spec in enumerate(specs):
+        started = _time.perf_counter()
+        spec_backend = resolve_backend(
+            backend if backend is not None else spec.solver.backend
+        )
+        policy = policy_from_spec(spec.transient.policy)
+        ctx = _Context(spec, _quantize(policy.initial_scale()), spec_backend)
+        if spec.transient.rom_active or spec.transient.policy.is_reactive:
+            key: tuple = ("alone", index)
+        else:
+            key = (id(spec_backend),) + _group_token(ctx, spec.transient)
+        batches.setdefault(key, []).append(
+            _Member(index, spec, policy, ctx, _time.perf_counter() - started)
+        )
+    outcomes: List[Optional[TransientOutcome]] = [None] * len(specs)
+    for batch in batches.values():
+        for member, outcome in zip(batch, _run_batch(batch)):
+            outcomes[member.index] = outcome
+    return outcomes
+
+
+def _implicit_digest(implicit) -> str:
+    """Content digest of an implicit matrix (pattern and values).
+
+    The one identity both batching (:func:`_group_token`) and the ROM
+    cache key (:func:`_reduced_model_for`) rest on.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for array in (implicit.data, implicit.indices, implicit.indptr):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _group_token(ctx: _Context, transient) -> tuple:
+    """Hashable identity of a scenario's implicit system and time axis.
+
+    Scenarios grouped under one token share the implicit matrix bit for
+    bit (same sparsity pattern and coefficient values -- geometry, widths,
+    flow and time step all agree), the same step count and the same
+    initial temperature, so their trajectories can advance through one
+    factorization; traces, static heat maps and thresholds may differ
+    freely (they only shape the right-hand sides and the metrics).
+    """
+    implicit, _, token = ctx.solver.implicit_system(transient.time_step_s)
+    return (
+        token,
+        _implicit_digest(implicit),
+        implicit.shape,
+        transient.time_step_s,
+        transient.n_steps,
+        transient.store_every,
+        ctx.start_temperature(),
     )
 
 
@@ -445,8 +494,8 @@ def _reduced_model_for(
 ) -> tuple:
     """``(model, built)`` for one context, through the bounded ROM cache.
 
-    The cache key is derived from the same content the batched engine
-    groups on -- the implicit matrix's byte digest -- extended with the
+    The cache key is derived from the same content batches are grouped
+    on -- :func:`_implicit_digest` -- extended with the
     input content (static-load digest, trace specs, duration) and the
     build settings, so any two scenarios that would build bit-identical
     bases share one.
@@ -454,17 +503,13 @@ def _reduced_model_for(
     solver = ctx.solver
     rom = transient.rom
     implicit, c_over_dt, token = solver.implicit_system(transient.time_step_s)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(implicit.data.tobytes())
-    digest.update(implicit.indices.tobytes())
-    digest.update(implicit.indptr.tobytes())
     base_rhs = solver.rhs_at(0.0)
     rhs_digest = hashlib.blake2b(base_rhs.tobytes(), digest_size=16)
     key = (
         "transient-rom",
         backend.name,
         token,
-        digest.hexdigest(),
+        _implicit_digest(implicit),
         implicit.shape[0],
         rhs_digest.hexdigest(),
         tuple(
@@ -522,24 +567,32 @@ def _reduced_model_for(
     return reduced_model_for(key, factory)
 
 
-def _integrate_controlled(
-    spec: ScenarioSpec, policy: FlowPolicy, backend: SolverBackend
-) -> tuple:
-    """Step one scenario to the end, consulting the policy each interval.
+def _run_batch(batch: List[_Member]) -> List[TransientOutcome]:
+    """Step one batch to the end, consulting the policy each interval.
 
-    Returns ``(recorder, rom_stats)``.  The trajectory advances through
-    the full integrator or the reduced one depending on the spec's
-    ``rom`` block; either way, a planning policy (one exposing
-    ``bind_planner``) is handed a reduced-rollout planner, so MPC control
-    is affordable even over full trajectories.
+    The members share one implicit system.  Each control interval
+    advances every member through one
+    :meth:`~repro.ice.transient.TransientSolver.integrate` call, or --
+    for a reduced-order trajectory -- through the Krylov model.  Only
+    constant-flow full-order scenarios batch with others, so the flow
+    policy, the per-scale contexts and the reduced models belong to the
+    lead member.  A planning policy (one exposing ``bind_planner``) is
+    handed a reduced-rollout planner, so MPC control is affordable even
+    over full trajectories.
     """
+    started = _time.perf_counter()
+    _, spec, policy, ctx, _ = batch[0]
     transient = spec.transient
     n_steps = transient.n_steps
     dt = transient.time_step_s
-    control_steps = transient.control_steps
-    contexts: Dict[float, _Context] = {}
+    backend = ctx.solver.backend
+    contexts: Dict[float, _Context] = {ctx.scale: ctx}
     models: Dict[float, ReducedTransientModel] = {}
     rom_stats: Dict[str, object] = {"n_rom_builds": 0, "n_rom_steps": 0}
+    recorders = [
+        _Recorder(member.ctx, n_steps, transient.store_every) for member in batch
+    ]
+    lead = recorders[0]
 
     def context_for(scale: float) -> _Context:
         scale = _quantize(scale)
@@ -558,17 +611,14 @@ def _integrate_controlled(
                 rom_stats["n_rom_builds"] += 1
         return model
 
-    ctx = context_for(policy.initial_scale())
-    recorder = _Recorder(ctx, n_steps, transient.store_every)
-
     if hasattr(policy, "bind_planner"):
 
         def plan(scale: float, horizon_s: float) -> float:
             """Predicted peak T over the horizon at one candidate scale."""
-            model = model_for(context_for(_quantize(scale)))
-            x = model.project(recorder.state)
+            model = model_for(context_for(scale))
+            x = model.project(lead.state)
             steps = max(1, int(round(horizon_s / dt)))
-            base_step = int(round(recorder.step_times[-1] / dt))
+            base_step = int(round(lead.step_times[-1] / dt))
             predicted = -np.inf
             for ahead in range(1, steps + 1):
                 x = model.step(x, (base_step + ahead) * dt)
@@ -578,57 +628,64 @@ def _integrate_controlled(
 
         policy.bind_planner(plan)
 
-    if transient.rom_active:
-        _advance_reduced(spec, policy, recorder, context_for, model_for, rom_stats)
-    else:
-        _advance_full(spec, policy, recorder, context_for)
-    return recorder, rom_stats
+    global_step = 0
+    while global_step < n_steps:
+        chunk = min(transient.control_steps, n_steps - global_step)
+        if transient.rom_active:
+            model = model_for(lead.ctx)
+            _advance_reduced(lead, model, transient, global_step, chunk, rom_stats)
+        else:
+            _advance_full(recorders, global_step, chunk, dt)
+        global_step += chunk
+        if global_step < n_steps and transient.policy.control_interval_s > 0.0:
+            scale = _quantize(policy.update(lead.step_times[-1], lead.peaks[-1]))
+            if scale != lead.ctx.scale:
+                lead.change_flow(lead.step_times[-1], context_for(scale))
+    wall_time = sum(member.build_s for member in batch)
+    wall_time += _time.perf_counter() - started
+    return [
+        _finalize(
+            member.spec,
+            recorder,
+            backend,
+            group_size=len(batch),
+            wall_time_s=wall_time,
+            rom_stats=rom_stats,
+        )
+        for member, recorder in zip(batch, recorders)
+    ]
 
 
 def _advance_full(
-    spec: ScenarioSpec,
-    policy: FlowPolicy,
-    recorder: _Recorder,
-    context_for: Callable[[float], _Context],
+    recorders: List[_Recorder], global_step: int, chunk: int, dt: float
 ) -> None:
-    """The reference path: full-state backward-Euler stepping."""
-    transient = spec.transient
-    n_steps = transient.n_steps
-    dt = transient.time_step_s
-    control_steps = transient.control_steps
-    global_step = 0
-    while global_step < n_steps:
-        chunk = min(control_steps, n_steps - global_step)
-        offset = global_step
+    """One control interval of full-state backward-Euler steps."""
 
-        def on_step(step: int, time: float, state: np.ndarray) -> None:
-            recorder.observe(offset + step, time, state)
+    def on_step(step: int, time: float, states: np.ndarray) -> None:
+        for column, recorder in enumerate(recorders):
+            recorder.observe(global_step + step, time, states[:, column])
 
-        recorder.state = recorder.ctx.solver.integrate(
-            recorder.state,
-            step_offset=offset,
-            n_steps=chunk,
-            time_step=dt,
-            on_step=on_step,
-        )
-        global_step += chunk
-        if global_step < n_steps and transient.policy.control_interval_s > 0.0:
-            scale = _quantize(
-                policy.update(recorder.step_times[-1], recorder.peaks[-1])
-            )
-            if scale != recorder.ctx.scale:
-                recorder.change_flow(recorder.step_times[-1], context_for(scale))
+    states = recorders[0].ctx.solver.integrate(
+        np.column_stack([recorder.state for recorder in recorders]),
+        step_offset=global_step,
+        n_steps=chunk,
+        time_step=dt,
+        on_step=on_step,
+        sources=[recorder.ctx.solver for recorder in recorders],
+    )
+    for column, recorder in enumerate(recorders):
+        recorder.state = states[:, column]
 
 
 def _advance_reduced(
-    spec: ScenarioSpec,
-    policy: FlowPolicy,
     recorder: _Recorder,
-    context_for: Callable[[float], _Context],
-    model_for: Callable[[_Context], ReducedTransientModel],
+    model: ReducedTransientModel,
+    transient,
+    global_step: int,
+    chunk: int,
     rom_stats: Dict[str, object],
 ) -> None:
-    """The reduced path: project, step in the Krylov subspace, lift on demand.
+    """One control interval of the reduced path: project, step, lift on demand.
 
     Scalar observables (peak temperature, coolant rise) come from the
     model's output maps every step; full states are reconstructed only at
@@ -638,235 +695,59 @@ def _advance_reduced(
     to the reduced prediction -- the maximum discrepancy is reported as
     ``rom_peak_abs_err_K``.
     """
-    transient = spec.transient
     n_steps = transient.n_steps
     dt = transient.time_step_s
-    control_steps = transient.control_steps
     store_every = transient.store_every
     check_stride = transient.rom.check_every or max(1, n_steps // 4)
-    max_abs_err = 0.0
-    orders: List[int] = []
-    global_step = 0
-    while global_step < n_steps:
-        chunk = min(control_steps, n_steps - global_step)
-        ctx = recorder.ctx
-        model = model_for(ctx)
-        orders.append(model.order)
-        implicit, c_over_dt, token = ctx.solver.implicit_system(dt)
-        x = model.project(recorder.state)
-        # The chunk advances through the factored recurrence
-        # ``x_{k+1} = P x_k + M^{-1} Vᵀ b_k``: all rhs projections solve
-        # in one dense call, each step is one order-sized matvec, and the
-        # scalar observables of the whole chunk come from two BLAS-3
-        # products over the stacked reduced states.
-        times = (global_step + np.arange(1, chunk + 1)) * dt
-        projected = np.empty((model.order, chunk))
-        for column, time in enumerate(times):
-            projected[:, column] = model.project_rhs(float(time))
-        forced = model.solve_projected(projected)
-        propagation = model.propagation
-        states = np.empty((model.order, chunk))
-        x_start = x
-        for column in range(chunk):
-            x = propagation @ x + forced[:, column]
-            states[:, column] = x
-        rom_stats["n_rom_steps"] = int(rom_stats["n_rom_steps"]) + chunk
-        peaks = model.output_max_many("solid", states)
-        if ctx.coolant_cells.size == 0:
-            rises = np.zeros(chunk)
-        else:
-            rises = (
-                model.output_max_many("coolant", states)
-                - ctx.inlet_temperature
+    max_abs_err = rom_stats.get("rom_peak_abs_err_K", 0.0)
+    ctx = recorder.ctx
+    implicit, c_over_dt, token = ctx.solver.implicit_system(dt)
+    x = model.project(recorder.state)
+    # The chunk advances through the factored recurrence
+    # ``x_{k+1} = P x_k + M^{-1} Vᵀ b_k``: all rhs projections solve
+    # in one dense call, each step is one order-sized matvec, and the
+    # scalar observables of the whole chunk come from two BLAS-3
+    # products over the stacked reduced states.
+    times = (global_step + np.arange(1, chunk + 1)) * dt
+    projected = np.empty((model.order, chunk))
+    for column, time in enumerate(times):
+        projected[:, column] = model.project_rhs(float(time))
+    forced = model.solve_projected(projected)
+    propagation = model.propagation
+    states = np.empty((model.order, chunk))
+    x_start = x
+    for column in range(chunk):
+        x = propagation @ x + forced[:, column]
+        states[:, column] = x
+    rom_stats["n_rom_steps"] = int(rom_stats["n_rom_steps"]) + chunk
+    peaks = model.output_max_many("solid", states)
+    if ctx.coolant_cells.size == 0:
+        rises = np.zeros(chunk)
+    else:
+        rises = (
+            model.output_max_many("coolant", states) - ctx.inlet_temperature
+        )
+    recorder.step_times.extend(float(time) for time in times)
+    recorder.peaks.extend(float(peak) for peak in peaks)
+    recorder.rises.extend(float(rise) for rise in rises)
+    for column in range(chunk):
+        global_index = global_step + column + 1
+        if global_index % check_stride == 0 or global_index == n_steps:
+            x_prev = states[:, column - 1] if column else x_start
+            reference = ctx.solver.backend.solve(
+                implicit,
+                ctx.solver.rhs_at(float(times[column]))
+                + c_over_dt @ model.lift(x_prev),
+                token,
             )
-        recorder.step_times.extend(float(time) for time in times)
-        recorder.peaks.extend(float(peak) for peak in peaks)
-        recorder.rises.extend(float(rise) for rise in rises)
-        for column in range(chunk):
-            global_index = global_step + column + 1
-            checkpoint = (
-                global_index % check_stride == 0 or global_index == n_steps
+            max_abs_err = max(
+                max_abs_err, abs(ctx.peak(reference) - float(peaks[column]))
             )
-            if checkpoint:
-                x_prev = states[:, column - 1] if column else x_start
-                reference = ctx.solver.backend.solve(
-                    implicit,
-                    ctx.solver.rhs_at(float(times[column]))
-                    + c_over_dt @ model.lift(x_prev),
-                    token,
-                )
-                max_abs_err = max(
-                    max_abs_err,
-                    abs(ctx.peak(reference) - float(peaks[column])),
-                )
-            if global_index % store_every == 0 or global_index == n_steps:
-                recorder.times.append(float(times[column]))
-                recorder.snapshots.append(model.lift(states[:, column]))
-        recorder.state = model.lift(states[:, -1])
-        global_step += chunk
-        if global_step < n_steps and transient.policy.control_interval_s > 0.0:
-            scale = _quantize(
-                policy.update(recorder.step_times[-1], recorder.peaks[-1])
-            )
-            if scale != recorder.ctx.scale:
-                recorder.change_flow(recorder.step_times[-1], context_for(scale))
+        if global_index % store_every == 0 or global_index == n_steps:
+            recorder.times.append(float(times[column]))
+            recorder.snapshots.append(model.lift(states[:, column]))
+    recorder.state = model.lift(states[:, -1])
     rom_stats["rom"] = True
-    rom_stats["rom_order"] = max(orders)
+    rom_stats["rom_order"] = max(int(rom_stats.get("rom_order", 0)), model.order)
     rom_stats["rom_peak_abs_err_K"] = float(max_abs_err)
     rom_stats["rom_check_stride"] = int(check_stride)
-
-
-# -- batched path -----------------------------------------------------------
-
-
-def _group_token(ctx: _Context, transient) -> tuple:
-    """Hashable identity of a scenario's implicit system and time axis.
-
-    Scenarios grouped under one token share the implicit matrix bit for
-    bit (same sparsity pattern and coefficient values -- geometry, widths,
-    flow and time step all agree), the same step count and the same
-    initial temperature, so their trajectories can advance through one
-    factorization; traces, static heat maps and thresholds may differ
-    freely (they only shape the right-hand sides and the metrics).
-    """
-    implicit, c_over_dt, token = ctx.solver.implicit_system(
-        transient.time_step_s
-    )
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(implicit.data.tobytes())
-    digest.update(implicit.indices.tobytes())
-    digest.update(implicit.indptr.tobytes())
-    return (
-        token,
-        digest.hexdigest(),
-        implicit.shape,
-        transient.time_step_s,
-        transient.n_steps,
-        transient.store_every,
-        ctx.start_temperature(),
-    )
-
-
-def simulate_transient_many(
-    scenarios: Sequence,
-    backend: Union[None, str, SolverBackend] = None,
-) -> List[TransientOutcome]:
-    """Run many transient scenarios, batching compatible ones per step.
-
-    Scenarios with an inactive (constant-flow) policy whose implicit
-    systems are content-identical advance together: one
-    :meth:`~repro.thermal.backends.SolverBackend.solve_matrix` call per
-    time step back-substitutes every member through one shared
-    factorization.  Scenarios with reactive policies -- whose flow (and
-    hence matrix) can diverge mid-run -- and singleton groups fall back to
-    :func:`simulate_transient`.  Results are returned in input order and
-    are bit-identical to the per-scenario reference path.
-    """
-    specs = [resolve_scenario(scenario) for scenario in scenarios]
-    for spec in specs:
-        _require_transient(spec)
-    outcomes: List[Optional[TransientOutcome]] = [None] * len(specs)
-    groups: Dict[tuple, List[int]] = {}
-    contexts: Dict[int, _Context] = {}
-    for index, spec in enumerate(specs):
-        spec_backend = resolve_backend(
-            backend if backend is not None else spec.solver.backend
-        )
-        if spec.transient.rom_active or spec.transient.policy.is_reactive:
-            # ROM scenarios route through the reference path: the global
-            # model cache already amortizes basis builds across members,
-            # and reusing one code path keeps serial/batched trajectories
-            # bit-identical by construction.
-            outcomes[index] = simulate_transient(spec, backend=spec_backend)
-            continue
-        policy = policy_from_spec(spec.transient.policy)
-        ctx = _Context(spec, _quantize(policy.initial_scale()), spec_backend)
-        contexts[index] = ctx
-        key = (id(spec_backend),) + _group_token(ctx, spec.transient)
-        groups.setdefault(key, []).append(index)
-    for members in groups.values():
-        if len(members) == 1:
-            index = members[0]
-            ctx = contexts[index]
-            start_wall = _time.perf_counter()
-            recorder = _Recorder(
-                ctx, specs[index].transient.n_steps,
-                specs[index].transient.store_every,
-            )
-            recorder.state = ctx.solver.integrate(
-                recorder.state,
-                step_offset=0,
-                n_steps=specs[index].transient.n_steps,
-                time_step=specs[index].transient.time_step_s,
-                on_step=lambda step, time, state: recorder.observe(
-                    step, time, state
-                ),
-            )
-            outcomes[index] = _finalize(
-                specs[index],
-                recorder,
-                ctx.solver.backend,
-                batched=False,
-                group_size=1,
-                wall_time_s=_time.perf_counter() - start_wall,
-            )
-            continue
-        outcomes_for = _integrate_group(
-            [specs[index] for index in members],
-            [contexts[index] for index in members],
-        )
-        for index, outcome in zip(members, outcomes_for):
-            outcomes[index] = outcome
-    return outcomes
-
-
-def _integrate_group(
-    specs: List[ScenarioSpec], contexts: List[_Context]
-) -> List[TransientOutcome]:
-    """Advance one group of matrix-compatible scenarios in lockstep."""
-    start_wall = _time.perf_counter()
-    transient = specs[0].transient
-    n_steps = transient.n_steps
-    dt = transient.time_step_s
-    lead = contexts[0].solver
-    implicit, c_over_dt, token = lead.implicit_system(dt)
-    backend = lead.backend
-    recorders = [
-        _Recorder(ctx, spec.transient.n_steps, spec.transient.store_every)
-        for spec, ctx in zip(specs, contexts)
-    ]
-    states = np.column_stack([recorder.state for recorder in recorders])
-    solve_matrix = getattr(backend, "solve_matrix", None)
-    for step in range(1, n_steps + 1):
-        time = step * dt
-        rhs = np.column_stack(
-            [ctx.solver.rhs_at(time) for ctx in contexts]
-        ) + c_over_dt @ states
-        if solve_matrix is not None:
-            states = solve_matrix(implicit, rhs, token)
-        else:  # custom backend without multi-RHS support
-            states = np.column_stack(
-                [
-                    backend.solve(implicit, rhs[:, column], token)
-                    for column in range(rhs.shape[1])
-                ]
-            )
-        for column, recorder in enumerate(recorders):
-            recorder.observe(step, time, states[:, column])
-    wall_time = _time.perf_counter() - start_wall
-    # One lockstep loop served the whole group: each member's wall time is
-    # its amortized share, so summing member times (what campaign
-    # summaries do) reports the real cost, not group_size times it.
-    outcomes = []
-    for spec, recorder in zip(specs, recorders):
-        outcome = _finalize(
-            spec,
-            recorder,
-            backend,
-            batched=True,
-            group_size=len(specs),
-            wall_time_s=wall_time / len(specs),
-        )
-        outcome.metadata["group_wall_time_s"] = wall_time
-        outcomes.append(outcome)
-    return outcomes

@@ -25,7 +25,9 @@ from repro.api import (
     register_simulator,
     run,
 )
-from repro.scenarios import GridSpec, OptimizerSpec, get_scenario
+from repro.hydraulics.network import FlowNetwork
+from repro.scenarios import SCENARIOS, GridSpec, OptimizerSpec, get_scenario
+from repro.thermal.geometry import MultiChannelStructure
 
 
 @pytest.fixture()
@@ -58,6 +60,42 @@ class TestRunParity:
         assert abs(report.peak_delta_K) < 1.0
         assert abs(report.gradient_delta_K) < 1.0
         assert abs(report.coolant_rise_delta_K) < 1.0
+
+
+def _optimized_spec():
+    """A width-pinned design: niagara-arch1 after a short optimization."""
+    optimized = Session().optimize(
+        get_scenario("niagara-arch1").with_overrides(
+            optimizer=OptimizerSpec(n_segments=3, max_iterations=4)
+        )
+    ).optimized_spec()
+    assert optimized.design is not None
+    return optimized
+
+
+class TestPressureDrops:
+    @pytest.mark.parametrize("name", [*SCENARIOS, "optimized"])
+    def test_fdm_and_ice_report_identical_drops(self, name):
+        """One spec -> hydraulics path: both simulators, same Eq. (9) drops.
+
+        They also equal the drops of the built analytical cavity, which is
+        where the FDM path used to derive them.
+        """
+        spec = _optimized_spec() if name == "optimized" else get_scenario(name)
+        steady = spec.with_overrides(transient=None)
+        fdm = FDMSimulator().run(steady).pressure_drops_Pa
+        ice = ICESimulator().run(spec).pressure_drops_Pa
+        structure = steady.build_structure()
+        if not isinstance(structure, MultiChannelStructure):
+            structure = MultiChannelStructure.single(structure)
+        cavity = FlowNetwork(
+            structure.geometry,
+            structure.width_profiles(),
+            flow_rate_per_channel=structure.lanes[0].flow_rate,
+            coolant=structure.coolant,
+        ).pressure_drops
+        assert fdm == ice
+        assert fdm == tuple(float(drop) for drop in cavity)
 
 
 class TestSimulators:

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.scenarios import GridSpec, OptimizerSpec, ScenarioSpec, get_scenario
 
@@ -410,6 +417,44 @@ def live_server(tmp_path):
     server = CampaignServer(service).start_in_thread()
     yield server
     server.stop()
+
+
+class TestServeProcess:
+    def test_sigterm_stops_the_server_with_exit_0(self, tmp_path):
+        """SIGTERM takes the same ``server.stop()`` path as Ctrl-C."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0", "--data-dir", str(tmp_path / "srv"),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        # Never hang the suite: a server that does not come up is killed,
+        # which ends the stderr stream below.
+        watchdog = threading.Timer(60.0, process.kill)
+        watchdog.start()
+        try:
+            for line in process.stderr:
+                if "listening on http://" in line:
+                    break
+            else:
+                pytest.fail("repro serve never printed its listening line")
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=10) == 0
+        finally:
+            watchdog.cancel()
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stderr.close()
 
 
 class TestServeClients:

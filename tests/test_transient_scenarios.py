@@ -20,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from repro.analysis.metrics import (
     piecewise_integral,
@@ -46,7 +47,7 @@ from repro.scenarios import (
     get_scenario,
 )
 from repro.sweeps import SweepSpec
-from repro.thermal.backends import SparseLUBackend
+from repro.thermal.backends import SparseLUBackend, resolve_backend
 from repro.transient import PolicySpec, TraceSpec, TransientSpec, load_trace_file
 from repro.transient_engine import simulate_transient, simulate_transient_many
 
@@ -416,6 +417,36 @@ class TestTransientEngine:
         )
         outcomes = simulate_transient_many([spec, spec.with_overrides(name="b")])
         assert all(not o.metadata["batched"] for o in outcomes)
+
+    def test_backend_with_only_solve_matches_sparse_lu_bitwise(self):
+        """A duck-typed backend runs the base per-column solve_matrix loop."""
+
+        class SolveOnly:
+            name = "solve-only"
+
+            def solve(self, matrix, rhs, pattern_token=None):
+                return splu(matrix.tocsc()).solve(rhs)
+
+        backend = resolve_backend(SolveOnly())
+        assert not hasattr(backend, "solve_matrix")
+        base = tiny_transient_spec()
+        trace = replace(base.transient.traces[0], duty=0.25)
+        other = base.with_overrides(
+            name="other", transient=replace(base.transient, traces=(trace,))
+        )
+        single = simulate_transient(base, backend=backend)
+        batch = simulate_transient_many([base, other], backend=backend)
+        assert [o.metadata["group_size"] for o in batch] == [2, 2]
+        for outcome, spec in zip([single, *batch], [base, base, other]):
+            reference = simulate_transient(spec, backend=SparseLUBackend())
+            assert np.array_equal(
+                outcome.peak_history_K, reference.peak_history_K
+            )
+            for name, history in reference.result.layer_histories.items():
+                assert np.array_equal(
+                    outcome.result.layer_histories[name], history
+                )
+            assert outcome.metrics == reference.metrics
 
     def test_bang_bang_reacts_and_cools(self):
         uncontrolled = tiny_transient_spec(duration=0.4)
