@@ -22,11 +22,12 @@ that SLSQP's merit function treats them on an equal footing with the cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..hydraulics.pressure import pressure_drop
+from .._compat import trapezoid
+from ..hydraulics.pressure import local_pressure_gradient
 from ..thermal.geometry import ChannelGeometry
 from ..thermal.properties import Coolant
 from .parameterization import WidthParameterization
@@ -61,9 +62,13 @@ class PressureConstraints:
     n_samples:
         Sample count of the trapezoidal pressure integral.
     jacobian_step:
-        Forward-difference step of the explicit constraint Jacobians
-        (:meth:`margin_jacobian`, :meth:`balance_jacobian`); matches
-        SciPy's default derivative step.
+        Step of the one-sided differences behind the explicit constraint
+        Jacobians (:meth:`margin_jacobian`, :meth:`balance_jacobian`):
+        forward, or backward where ``x + h`` would leave the unit box.
+        Matches SciPy's default derivative step.  Perturbing variable
+        ``j`` moves only its own lane's drop, so all ``n`` perturbed drops
+        of an iterate are one batched evaluation, not ``n + 1`` full
+        per-lane ones (which dominated a multi-lane design's run time).
     """
 
     parameterization: WidthParameterization
@@ -83,47 +88,132 @@ class PressureConstraints:
             raise ValueError("max pressure drop must be positive")
         if not (0.0 < self.equal_pressure_tolerance < 1.0):
             raise ValueError("equal_pressure_tolerance must lie in (0, 1)")
+        self._sampling_cache = None
+        self._last = None
 
     # -- raw evaluations -----------------------------------------------------------
 
+    def _inputs(self) -> tuple:
+        """Every field the raw drops depend on (cache key component)."""
+        return (
+            self.parameterization,
+            self.geometry,
+            self.coolant,
+            self.flow_rate,
+            self.n_samples,
+            self.jacobian_step,
+        )
+
+    def _sampling(self, inputs: tuple) -> Tuple[np.ndarray, np.ndarray]:
+        """Sample points of the Eq. (9) integral and their segment indices.
+
+        The same expressions as :func:`~repro.hydraulics.pressure.pressure_drop`
+        evaluating a piecewise-constant :class:`WidthProfile`, computed once
+        per set of inputs instead of once per lane and perturbation.
+        """
+        cached = self._sampling_cache
+        if cached is not None and cached[0] == inputs:
+            return cached[1], cached[2]
+        z = np.linspace(0.0, self.geometry.length, self.n_samples)
+        length = float(self.parameterization.geometry.length)
+        if np.any(z < -1e-12) or np.any(z > length * (1 + 1e-9)):
+            raise ValueError("z must lie inside [0, channel length]")
+        n_segments = self.parameterization.n_segments
+        index = np.minimum(
+            (np.clip(z, 0.0, length) / length * n_segments).astype(int),
+            n_segments - 1,
+        )
+        self._sampling_cache = (inputs, z, index)
+        return z, index
+
+    def _segment_drops(self, rows: np.ndarray, inputs: tuple) -> np.ndarray:
+        """Eq. (9) pressure drop (Pa) of each row of segment widths.
+
+        One vectorized gradient evaluation over the ``(m, n_samples)``
+        gather; the integral runs row by row so every drop sums in exactly
+        the order of a single-channel :func:`pressure_drop` call (a 2-D
+        ``trapezoid`` reduction may round differently).
+        """
+        z, index = self._sampling(inputs)
+        gradients = local_pressure_gradient(
+            rows[:, index],
+            self.geometry.channel_height,
+            self.flow_rate,
+            self.coolant.dynamic_viscosity,
+        )
+        return np.array([float(trapezoid(row, z)) for row in gradients])
+
+    def _evaluate(self, vector: np.ndarray, stencil: bool = False) -> tuple:
+        """Raw drops at ``vector`` and, if asked, at its difference stencil.
+
+        Returns ``(key, drops, steps, perturbed)``: ``drops`` holds the
+        per-lane drops; ``perturbed[:, j]`` the per-lane drops after
+        variable ``j`` moves by ``steps[j]`` (``None`` until requested).
+        Variable ``j`` only moves its own lane's drop (every lane's in
+        shared mode), so the stencil is one batch of ``n`` rows.
+
+        The last record is kept as one immutable tuple, replaced in a single
+        assignment: SLSQP asks for the margins, the balance and both
+        Jacobians at the same iterate, and concurrent multistart restarts
+        share this object.  Only raw drops are cached, so
+        ``max_pressure_drop`` and ``equal_pressure_tolerance`` may be
+        reassigned at any time.
+        """
+        param = self.parameterization
+        vector = np.asarray(vector, dtype=float)
+        rows = param.segment_rows(vector)
+        inputs = self._inputs()
+        key = (vector.tobytes(), inputs)
+        record = self._last
+        if record is not None and record[0] == key:
+            if not stencil or record[2] is not None:
+                return record
+            drops = record[1]
+        else:
+            drops = None
+
+        batches = [] if drops is not None else [rows]
+        steps = perturbed = None
+        if stencil:
+            variables = np.arange(param.n_variables)
+            lanes = variables // param.n_segments  # all 0 in shared mode
+            step = self.jacobian_step
+            steps = np.where(vector + step <= 1.0, step, -step)
+            shifted = rows[lanes]
+            shifted[variables, variables % param.n_segments] = (
+                param.vector_to_widths(vector + steps)
+            )
+            batches.append(shifted)
+        raw = self._segment_drops(np.concatenate(batches), inputs)
+        if drops is None:
+            drops = raw[: rows.shape[0]]
+            if param.shared:
+                drops = np.full(param.n_lanes, drops[0])
+        if stencil:
+            touched = param.shared | (np.arange(param.n_lanes)[:, None] == lanes)
+            perturbed = np.where(touched, raw[raw.size - lanes.size :], drops[:, None])
+            steps.flags.writeable = perturbed.flags.writeable = False
+        drops.flags.writeable = False
+        record = (key, drops, steps, perturbed)
+        self._last = record
+        return record
+
     def pressure_drops(self, vector: np.ndarray) -> np.ndarray:
         """Per-lane pressure drops (Pa) for a decision vector."""
-        profiles = self.parameterization.profiles_from_vector(vector)
-        if self.parameterization.shared:
-            # All lanes share the same trajectory, evaluate once.
-            drop = pressure_drop(
-                profiles[0],
-                self.geometry,
-                self.flow_rate,
-                self.coolant,
-                self.n_samples,
-            )
-            return np.full(self.parameterization.n_lanes, drop)
-        return np.array(
-            [
-                pressure_drop(
-                    profile,
-                    self.geometry,
-                    self.flow_rate,
-                    self.coolant,
-                    self.n_samples,
-                )
-                for profile in profiles
-            ]
-        )
+        return self._evaluate(vector)[1].copy()
 
     def max_drop(self, vector: np.ndarray) -> float:
         """Largest per-lane pressure drop (Pa)."""
-        return float(np.max(self.pressure_drops(vector)))
+        return float(np.max(self._evaluate(vector)[1]))
 
     def imbalance(self, vector: np.ndarray) -> float:
         """Relative pressure imbalance ``(max - min)/dP_max`` across lanes."""
-        drops = self.pressure_drops(vector)
+        drops = self._evaluate(vector)[1]
         return float((np.max(drops) - np.min(drops)) / self.max_pressure_drop)
 
     def is_feasible(self, vector: np.ndarray, slack: float = 1e-6) -> bool:
         """True when both Eq. (9) and (when enforced) Eq. (10) hold."""
-        drops = self.pressure_drops(vector)
+        drops = self._evaluate(vector)[1]
         if np.max(drops) > self.max_pressure_drop * (1.0 + slack):
             return False
         if self.enforce_equal_pressure and drops.size > 1:
@@ -136,42 +226,32 @@ class PressureConstraints:
 
     def _normalized_margin(self, vector: np.ndarray) -> np.ndarray:
         """``1 - dP_i / dP_max`` per lane; non-negative when feasible."""
-        return 1.0 - self.pressure_drops(vector) / self.max_pressure_drop
+        return 1.0 - self._evaluate(vector)[1] / self.max_pressure_drop
 
     def _balance(self, vector: np.ndarray) -> float:
         """``tolerance - imbalance``; non-negative when hydraulically balanced."""
         return self.equal_pressure_tolerance - self.imbalance(vector)
 
-    def _finite_difference_jacobian(self, function, vector: np.ndarray) -> np.ndarray:
-        """Forward-difference Jacobian of a constraint function.
-
-        The step direction flips to backward at the upper box bound so
-        evaluations stay inside the feasible hypercube.  Constraint
-        evaluations are pure hydraulics (no thermal solve), so the n+1
-        evaluations are cheap relative to one gradient batch.
-        """
-        vector = np.asarray(vector, dtype=float)
-        base = np.atleast_1d(np.asarray(function(vector), dtype=float))
-        jacobian = np.empty((base.size, vector.size))
-        for variable in range(vector.size):
-            step = (
-                self.jacobian_step
-                if vector[variable] + self.jacobian_step <= 1.0
-                else -self.jacobian_step
-            )
-            perturbed = vector.copy()
-            perturbed[variable] += step
-            shifted = np.atleast_1d(np.asarray(function(perturbed), dtype=float))
-            jacobian[:, variable] = (shifted - base) / step
-        return jacobian
-
     def margin_jacobian(self, vector: np.ndarray) -> np.ndarray:
-        """Jacobian of the Eq. (9) normalized margins, shape ``(n_lanes, n)``."""
-        return self._finite_difference_jacobian(self._normalized_margin, vector)
+        """Jacobian of the Eq. (9) normalized margins, shape ``(n_lanes, n)``.
+
+        Column ``j`` is the one-sided difference ``(m(x + h e_j) - m(x)) / h``;
+        rows of lanes that variable ``j`` does not touch come out exactly 0.
+        """
+        _, drops, steps, perturbed = self._evaluate(vector, stencil=True)
+        limit = self.max_pressure_drop
+        base = 1.0 - drops / limit
+        return ((1.0 - perturbed / limit) - base[:, None]) / steps
 
     def balance_jacobian(self, vector: np.ndarray) -> np.ndarray:
         """Gradient of the Eq. (10) balance constraint, shape ``(n,)``."""
-        return self._finite_difference_jacobian(self._balance, vector)[0]
+        _, drops, steps, perturbed = self._evaluate(vector, stencil=True)
+        limit = self.max_pressure_drop
+        tolerance = self.equal_pressure_tolerance
+        base = tolerance - float((np.max(drops) - np.min(drops)) / limit)
+        spread = (perturbed.max(axis=0) - perturbed.min(axis=0)) / limit
+        shifted = tolerance - spread
+        return (shifted - base) / steps
 
     def as_scipy_constraints(self) -> List[Dict]:
         """Constraint dictionaries for :func:`scipy.optimize.minimize` (SLSQP).

@@ -24,7 +24,8 @@ Two mechanisms keep that cost down:
   explicit ``jac`` that evaluates all ``n + 1`` perturbed designs in a
   single :meth:`~repro.core.engine.EvaluationEngine.solve_many` batch --
   deduplicated against the cache and fanned out over the engine's thread
-  pool -- plus explicit (cheap, hydraulics-only) constraint Jacobians.
+  pool -- plus explicit constraint Jacobians, whose lane-local difference
+  stencil is one batched hydraulics evaluation per iterate.
   Multistart restarts likewise run concurrently off the shared engine when
   ``n_workers > 1``.
 """

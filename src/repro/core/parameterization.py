@@ -94,27 +94,28 @@ class WidthParameterization:
 
     # -- profile construction ------------------------------------------------------
 
-    def profiles_from_vector(self, vector: np.ndarray) -> List[WidthProfile]:
-        """Build one :class:`WidthProfile` per lane from a decision vector."""
+    def segment_rows(self, vector: np.ndarray) -> np.ndarray:
+        """Physical segment widths (m), one row per distinct trajectory.
+
+        Shape ``(1, n_segments)`` in shared mode, ``(n_lanes, n_segments)``
+        otherwise; row ``lane`` holds the widths of :meth:`lane_slice`.
+        """
         vector = np.asarray(vector, dtype=float)
         if vector.shape != (self.n_variables,):
             raise ValueError(
                 f"decision vector must have shape ({self.n_variables},), "
                 f"got {vector.shape}"
             )
-        widths = self.vector_to_widths(vector)
+        return self.vector_to_widths(vector).reshape(-1, self.n_segments)
+
+    def profiles_from_vector(self, vector: np.ndarray) -> List[WidthProfile]:
+        """Build one :class:`WidthProfile` per lane from a decision vector."""
+        rows = self.segment_rows(vector)
         length = self.geometry.length
         if self.shared:
-            profile = WidthProfile.piecewise_constant(widths, length)
+            profile = WidthProfile.piecewise_constant(rows[0], length)
             return [profile] * self.n_lanes
-        profiles = []
-        for lane in range(self.n_lanes):
-            start = lane * self.n_segments
-            stop = start + self.n_segments
-            profiles.append(
-                WidthProfile.piecewise_constant(widths[start:stop], length)
-            )
-        return profiles
+        return [WidthProfile.piecewise_constant(row, length) for row in rows]
 
     def vector_from_profiles(self, profiles: Sequence[WidthProfile]) -> np.ndarray:
         """Project existing width profiles onto the decision vector.

@@ -36,6 +36,21 @@ def seeded_spec(n_workers: int) -> ScenarioSpec:
     )
 
 
+def multilane_spec(n_workers: int) -> ScenarioSpec:
+    """A fast three-lane Niagara stacking with per-lane trajectories.
+
+    Every restart evaluates the Eq. (9)/(10) constraints of several lanes
+    through the one ``PressureConstraints`` object the restarts share.
+    """
+    return ScenarioSpec(
+        name="determinism-multilane",
+        workload=WorkloadSpec(kind="architecture", architecture="arch1"),
+        grid=GridSpec(n_grid_points=41, n_lanes=3, n_rows=6, n_cols=12),
+        solver=SolverSpec(n_workers=n_workers),
+        optimizer=OptimizerSpec(n_segments=3, max_iterations=6, multistart=3),
+    )
+
+
 def design_fingerprint(outcome):
     """Every numeric artefact of the run that must reproduce exactly."""
     optimal = outcome.result.optimal
@@ -64,6 +79,19 @@ class TestMultistartDeterminism:
         # Exact equality, not approximate: the schedules must agree bit
         # for bit (floats compare with ==).
         assert a == b
+        np.testing.assert_array_equal(
+            serial.result.optimal.solution.temperatures,
+            threaded.result.optimal.solution.temperatures,
+        )
+
+    def test_multilane_restarts_are_bit_identical(self):
+        serial = Session().optimize(multilane_spec(n_workers=1))
+        threaded = Session().optimize(multilane_spec(n_workers=3))
+        assert len(serial.result.optimal.width_profiles) == 3
+        assert design_fingerprint(serial) == design_fingerprint(threaded)
+        np.testing.assert_array_equal(
+            serial.result.decision_vector, threaded.result.decision_vector
+        )
         np.testing.assert_array_equal(
             serial.result.optimal.solution.temperatures,
             threaded.result.optimal.solution.temperatures,
